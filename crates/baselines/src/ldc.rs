@@ -91,7 +91,7 @@ impl Ldc {
                         Tensor::from_vec(buf, &[n_features, d]).expect("buffer sized")
                     })
                     .collect();
-                let s_vecs = enc.forward(&a_maps).expect("encoding shapes fixed");
+                let s_vecs = enc.forward(a_maps).expect("encoding shapes fixed");
                 let mut flat = Vec::with_capacity(batch.len() * d);
                 for s in &s_vecs {
                     flat.extend_from_slice(s.as_slice());

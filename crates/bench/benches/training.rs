@@ -55,7 +55,7 @@ fn bench_binary_conv_forward(c: &mut Criterion) {
     let mut conv = BinaryConv2d::new(spec, &mut rng).expect("spec valid");
     let x = signs(&[8, 16, 40], &mut rng);
     c.bench_function("binary_conv_forward_isolet_geometry", |bench| {
-        bench.iter(|| conv.forward(std::slice::from_ref(&x)).unwrap());
+        bench.iter(|| conv.forward(vec![x.clone()]).unwrap());
     });
 }
 
@@ -64,7 +64,7 @@ fn bench_encoding_forward(c: &mut Criterion) {
     let mut enc = EncodingLayer::new(22, 640, &mut rng);
     let a = signs(&[22, 640], &mut rng);
     c.bench_function("encoding_forward_isolet_geometry", |bench| {
-        bench.iter(|| enc.forward(std::slice::from_ref(&a)).unwrap());
+        bench.iter(|| enc.forward(vec![a.clone()]).unwrap());
     });
 }
 

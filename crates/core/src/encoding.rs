@@ -71,13 +71,13 @@ impl EncodingLayer {
     }
 
     /// Forward pass over a batch of `(channels, dim)` activation maps,
-    /// caching intermediates; returns one `(dim,)` bipolar sample vector
-    /// per input.
+    /// caching intermediates (the batch itself among them, hence by
+    /// value); returns one `(dim,)` bipolar sample vector per input.
     ///
     /// # Errors
     ///
     /// Returns [`UniVsaError::Shape`] if any input has the wrong shape.
-    pub fn forward(&mut self, batch: &[Tensor]) -> Result<Vec<Tensor>, UniVsaError> {
+    pub fn forward(&mut self, batch: Vec<Tensor>) -> Result<Vec<Tensor>, UniVsaError> {
         let fb = self.binary_f();
         // per-sample encodings are independent: fan out to the worker
         // pool; results return in sample order
@@ -94,7 +94,7 @@ impl EncodingLayer {
             outs.push(out);
             pres.push(pre);
         }
-        self.cached_input = Some(batch.to_vec());
+        self.cached_input = Some(batch);
         self.cached_pre = Some(pres);
         Ok(outs)
     }
@@ -152,7 +152,7 @@ impl EncodingLayer {
                 inputs.len()
             )));
         }
-        let fan = self.channels as f32;
+        let inv_fan = 1.0 / self.channels as f32;
         let fb = self.binary_f();
         let (channels, dim) = (self.channels, self.dim);
         // per-sample contributions run on workers; the shared F gradient
@@ -160,7 +160,21 @@ impl EncodingLayer {
         // addend is the exact product the serial loop adds), so results
         // are bit-identical at every thread count
         let results = univsa_par::map_indexed("train.encode_bwd", grad_out.len(), |s| {
-            let g_pre = ste_grad(&grad_out[s], &pres[s].scale(1.0 / fan));
+            if grad_out[s].shape() != pres[s].shape() {
+                return Err(UniVsaError::Input(format!(
+                    "encoding gradient must be ({dim},), got {}",
+                    grad_out[s].shape()
+                )));
+            }
+            // STE through the output sign, window scaled by fan-in, in one
+            // pass: the same multiply and compare as
+            // `ste_grad(g, &pre.scale(1 / fan))`, without the tensors
+            let g_pre: Vec<f32> = grad_out[s]
+                .as_slice()
+                .iter()
+                .zip(pres[s].as_slice())
+                .map(|(&g, &p)| if (p * inv_fan).abs() <= 1.0 { g } else { 0.0 })
+                .collect();
             let mut df = vec![0.0f32; channels * dim];
             let mut ga = vec![0.0f32; channels * dim];
             for o in 0..channels {
@@ -169,12 +183,14 @@ impl EncodingLayer {
                 let dfrow = &mut df[o * dim..(o + 1) * dim];
                 let garow = &mut ga[o * dim..(o + 1) * dim];
                 for d in 0..dim {
-                    let gp = g_pre.as_slice()[d];
+                    let gp = g_pre[d];
                     dfrow[d] = gp * arow[d];
                     garow[d] = gp * frow[d];
                 }
             }
-            Tensor::from_vec(ga, &[channels, dim]).map(|ga| (df, ga))
+            Tensor::from_vec(ga, &[channels, dim])
+                .map(|ga| (df, ga))
+                .map_err(UniVsaError::from)
         });
         let mut df_binary = Tensor::zeros(&[channels, dim]);
         let mut grad_inputs = Vec::with_capacity(grad_out.len());
@@ -221,7 +237,7 @@ mod tests {
             &[3, 4],
         )
         .unwrap();
-        let out = layer.forward(&[a]).unwrap();
+        let out = layer.forward(vec![a]).unwrap();
         // pre[d] = Σ_o F[o,d]*a[o,d]
         // d0: 1*1 + 1*(-1) + (-1)*1 = -1 → -1
         // d1: (-1)*1 + 1*(-1) + 1*(-1) = -3 → -1
@@ -240,7 +256,7 @@ mod tests {
             .as_mut_slice()
             .copy_from_slice(&[1.0, 1.0]);
         let a = Tensor::from_vec(vec![1.0, -1.0], &[2, 1]).unwrap();
-        let out = layer.forward(&[a]).unwrap();
+        let out = layer.forward(vec![a]).unwrap();
         assert_eq!(out[0].as_slice(), &[1.0]);
     }
 
@@ -248,7 +264,7 @@ mod tests {
     fn rejects_wrong_shape() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut layer = EncodingLayer::new(2, 3, &mut rng);
-        assert!(layer.forward(&[Tensor::zeros(&[3, 2])]).is_err());
+        assert!(layer.forward(vec![Tensor::zeros(&[3, 2])]).is_err());
     }
 
     #[test]
@@ -256,7 +272,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut layer = EncodingLayer::new(4, 6, &mut rng);
         let a = univsa_tensor::signs(&[4, 6], &mut rng);
-        let out = layer.forward(&[a]).unwrap();
+        let out = layer.forward(vec![a]).unwrap();
         layer.zero_grad();
         let g: Vec<Tensor> = out.iter().map(|o| o.map(|_| 1.0)).collect();
         let ga = layer.backward(&g).unwrap();
@@ -276,7 +292,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut layer = EncodingLayer::new(3, 5, &mut rng);
         let a = univsa_tensor::signs(&[3, 5], &mut rng);
-        let out = layer.forward(std::slice::from_ref(&a)).unwrap();
+        let out = layer.forward(vec![a.clone()]).unwrap();
         assert_eq!(layer.infer(&a).unwrap(), out[0]);
     }
 }

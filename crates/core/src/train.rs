@@ -196,7 +196,7 @@ impl UniVsaTrainer {
                 // 3. BiConv (or passthrough) to channel maps (channels, D).
                 let (a_maps, conv_inputs): (Vec<Tensor>, bool) = match conv.as_mut() {
                     Some(conv) => {
-                        let outs = conv.forward(&xs)?;
+                        let outs = conv.forward(xs)?;
                         (
                             outs.into_iter()
                                 .map(|t| t.reshape(&[channels, d]))
@@ -213,7 +213,7 @@ impl UniVsaTrainer {
                 };
 
                 // 4. Encoding to sample vectors s.
-                let s_vecs = enc.forward(&a_maps)?;
+                let s_vecs = enc.forward(a_maps)?;
                 let mut s_flat = Vec::with_capacity(batch.len() * d);
                 for s in &s_vecs {
                     s_flat.extend_from_slice(s.as_slice());

@@ -2,9 +2,7 @@
 //! activations.
 
 use rand::Rng;
-use univsa_tensor::{
-    conv2d, conv2d_input_grad, conv2d_kernel_grad, uniform, Conv2dSpec, ShapeError, Tensor,
-};
+use univsa_tensor::{conv2d, uniform, Conv2dGrad, Conv2dSpec, ShapeError, Tensor};
 
 use crate::ste::{sign, ste_grad};
 use crate::Param;
@@ -69,7 +67,8 @@ impl BinaryConv2d {
     }
 
     /// Forward pass over a batch of `(D_H, W, L)` samples, caching
-    /// intermediates for [`BinaryConv2d::backward`].
+    /// intermediates (the batch itself among them, hence by value) for
+    /// [`BinaryConv2d::backward`].
     ///
     /// Returns the binarized activations, one `(O, W, L)` tensor per
     /// sample.
@@ -77,7 +76,7 @@ impl BinaryConv2d {
     /// # Errors
     ///
     /// Returns [`ShapeError`] if any sample has the wrong shape.
-    pub fn forward(&mut self, batch: &[Tensor]) -> Result<Vec<Tensor>, ShapeError> {
+    pub fn forward(&mut self, batch: Vec<Tensor>) -> Result<Vec<Tensor>, ShapeError> {
         let kb = self.binary_kernel();
         let spec = self.spec;
         // per-sample convolutions are independent: fan out to the worker
@@ -95,7 +94,7 @@ impl BinaryConv2d {
             outs.push(out);
             preacts.push(pre);
         }
-        self.cached_input = Some(batch.to_vec());
+        self.cached_input = Some(batch);
         self.cached_preact = Some(preacts);
         Ok(outs)
     }
@@ -140,19 +139,32 @@ impl BinaryConv2d {
                 inputs.len()
             )));
         }
-        let fan_in = (self.spec.in_channels * self.spec.kernel * self.spec.kernel) as f32;
+        let inv_fan_in = 1.0 / (self.spec.in_channels * self.spec.kernel * self.spec.kernel) as f32;
         let kb = self.binary_kernel();
         let spec = self.spec;
         // per-sample kernel/input gradients run on workers; the shared
         // kernel gradient is reduced afterwards in strict sample order, so
         // the f32 sums match the serial fold bit-for-bit
         let results = univsa_par::map_indexed("train.conv_bwd", grad_out.len(), |i| {
-            // STE through the output sign, window scaled by fan-in.
-            let scaled = preacts[i].scale(1.0 / fan_in);
-            let g_pre = ste_grad(&grad_out[i], &scaled);
-            let dk = conv2d_kernel_grad(&inputs[i], &g_pre, &spec)?;
-            let gi = conv2d_input_grad(&g_pre, &kb, &spec)?;
-            Ok::<_, ShapeError>((dk, gi))
+            if grad_out[i].shape().dims() != spec.output_dims() {
+                return Err(ShapeError::new(format!(
+                    "backward gradient must have shape {:?}, got {}",
+                    spec.output_dims(),
+                    grad_out[i].shape()
+                )));
+            }
+            // STE through the output sign, window scaled by fan-in, fused
+            // into the staging pass: the same multiply and compare as
+            // `ste_grad(g, &pre.scale(1 / fan_in))`, without the tensors
+            let (g, pre) = (grad_out[i].as_slice(), preacts[i].as_slice());
+            let staged = Conv2dGrad::from_fn(&spec, |j| {
+                if (pre[j] * inv_fan_in).abs() <= 1.0 {
+                    g[j]
+                } else {
+                    0.0
+                }
+            })?;
+            Ok((staged.kernel_grad(&inputs[i])?, staged.input_grad(&kb)?))
         });
         let mut grad_inputs = Vec::with_capacity(grad_out.len());
         let mut dkb_total = Tensor::zeros(&spec.kernel_dims());
@@ -194,7 +206,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut layer = BinaryConv2d::new(spec(), &mut rng).unwrap();
         let x = univsa_tensor::signs(&[2, 4, 5], &mut rng);
-        let out = layer.forward(&[x]).unwrap();
+        let out = layer.forward(vec![x]).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].shape().dims(), &[3, 4, 5]);
         assert!(out[0].as_slice().iter().all(|&v| v == 1.0 || v == -1.0));
@@ -205,7 +217,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut layer = BinaryConv2d::new(spec(), &mut rng).unwrap();
         let x = univsa_tensor::signs(&[2, 4, 5], &mut rng);
-        let out = layer.forward(std::slice::from_ref(&x)).unwrap();
+        let out = layer.forward(vec![x.clone()]).unwrap();
         assert_eq!(layer.infer(&x).unwrap(), out[0]);
     }
 
@@ -224,7 +236,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut layer = BinaryConv2d::new(spec(), &mut rng).unwrap();
         let x = univsa_tensor::signs(&[2, 4, 5], &mut rng);
-        let out = layer.forward(&[x]).unwrap();
+        let out = layer.forward(vec![x]).unwrap();
         layer.zero_grad();
         let g: Vec<Tensor> = out.iter().map(|o| o.map(|_| 1.0)).collect();
         let gx = layer.backward(&g).unwrap();
@@ -239,7 +251,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut layer = BinaryConv2d::new(spec(), &mut rng).unwrap();
         let x = univsa_tensor::signs(&[2, 4, 5], &mut rng);
-        let _ = layer.forward(&[x]).unwrap();
+        let _ = layer.forward(vec![x]).unwrap();
         assert!(layer.backward(&[]).is_err());
     }
 

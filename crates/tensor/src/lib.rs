@@ -35,7 +35,7 @@ mod tensor;
 
 pub use conv::{
     conv2d, conv2d_input_grad, conv2d_input_grad_naive, conv2d_kernel_grad,
-    conv2d_kernel_grad_naive, conv2d_naive, Conv2dSpec,
+    conv2d_kernel_grad_naive, conv2d_naive, Conv2dGrad, Conv2dSpec,
 };
 pub use error::ShapeError;
 pub use init::{kaiming_uniform, signs, uniform};
